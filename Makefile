@@ -29,8 +29,8 @@
 #   make obs-check     observability lint: metrics without help strings,
 #                      spans opened but never ended (tools/obscheck)
 #   make fuzz-smoke    brief run of every native fuzzer (parser round-trip,
-#                      lexer, live delta parser, WAL reader, shard routing)
-#                      — the CI crash gate
+#                      lexer, live delta parser, WAL reader, shard routing,
+#                      hoisted-vs-full-vs-compiled Q3 labels) — the CI gate
 #   make bench-full    3-second benchmark pass (slow; for recorded numbers)
 
 GO ?= go
@@ -163,7 +163,9 @@ bench-shard:
 # lexer crash-safety, the live delta-batch parser (CSV + NDJSON) against a
 # real keyed table, the WAL reader against arbitrary segment bytes, and the
 # consistent-hash shard routing invariants (no key lost or double-assigned,
-# minimal movement on join/leave).
+# minimal movement on join/leave), and the Q3 hoisting gate (hoisted and
+# full interpreter, compiled scalar and vector agree on whole label vectors
+# for every generated query the gate admits).
 # Failures persist a reproducer under the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -172,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDelta$$' -fuzztime $(FUZZTIME) ./internal/live/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReader$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime $(FUZZTIME) ./internal/shard/
+	$(GO) test -run '^$$' -fuzz '^FuzzHoistedQ3$$' -fuzztime $(FUZZTIME) ./internal/qcompile/
 
 # One pass over the counting-service benchmark (cold vs warm cache),
 # emitted as BENCH_serve.json.

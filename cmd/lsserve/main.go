@@ -69,7 +69,8 @@
 // deep per-dataset queues shed immediately. Concurrent exact requests on
 // the same snapshot coalesce their labeling into one shared scan. The
 // -pprof flag serves Go profiling endpoints under /debug/pprof/ (off by
-// default).
+// default); without it heap-profile sampling is switched off, since no
+// other part of the server reads heap profiles.
 //
 // The server keeps a cross-query reuse catalog (see lsample.Catalog) that
 // materializes learn samples, labels, and trained classifiers so repeated
@@ -97,6 +98,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -121,7 +123,7 @@ func main() {
 		method    = flag.String("method", "lss", "default estimation method")
 		dataDir   = flag.String("data-dir", "", "directory for durable live datasets: uploads and ingests are write-ahead logged, and restart recovers them (empty = memory-only)")
 		catalogMB = flag.Int64("catalog-mb", 0, "reuse-catalog budget in MiB for cross-query sample/classifier materialization (0 = default 64 MiB, negative disables)")
-		pprofOn   = flag.Bool("pprof", false, "serve Go profiling endpoints under /debug/pprof/ (off by default; enable only on trusted networks)")
+		pprofOn   = flag.Bool("pprof", false, "serve Go profiling endpoints under /debug/pprof/ (off by default; enable only on trusted networks). Without it heap-profile sampling is disabled, since nothing else reads heap profiles")
 
 		metricsOn   = flag.Bool("metrics", true, "serve Prometheus text-format metrics at GET /metrics")
 		traceSample = flag.Float64("trace-sample", 0, "fraction of requests to trace [0,1]; explain requests are always traced")
@@ -135,6 +137,12 @@ func main() {
 		allowDegraded  = flag.Bool("allow-degraded", false, "coordinator role: answer with a scaled, widened-interval estimate when a shard's every candidate fails, instead of failing the query")
 	)
 	flag.Parse()
+	if !*pprofOn {
+		// Heap-profile sampling keeps a table of every sampled allocation
+		// site, which grows with the request rate; only /debug/pprof reads
+		// it, so without -pprof it is pure resident-memory overhead.
+		runtime.MemProfileRate = 0
+	}
 
 	// All operational logs are structured JSON, one object per line on
 	// stdout; request-scoped lines carry the trace and span ids.

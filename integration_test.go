@@ -53,7 +53,7 @@ func TestSQLToEstimatePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := predicate.NewEngineExists(ev, dec, objects)
+	pred, err := predicate.NewEngineExists(ev, dec, objects, false)
 	if err != nil {
 		t.Fatal(err)
 	}

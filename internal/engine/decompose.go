@@ -199,9 +199,36 @@ func ExtractInner(stmt *sql.SelectStmt) *sql.SelectStmt {
 // ObjectPredicate returns a closure that evaluates the decomposed predicate
 // for the i-th row of the materialized object set.
 func (ev *Evaluator) ObjectPredicate(d *Decomposed, objects *ResultSet) func(i int) (bool, error) {
+	return ev.objectPredicate(d, objects, false)
+}
+
+// HoistedObjectPredicate is ObjectPredicate with Q3's WHERE conjuncts
+// hoisted to the shallowest FROM depth that binds their aliases, so the
+// GL = o.* correlation prunes the outer loop instead of filtering the
+// finished L×R join: one object then costs |L|+|R| row visits where the
+// full nested loop costs |L|·|R|. Labels are identical to ObjectPredicate's
+// whenever no WHERE conjunct can fail; a conjunct that can (a division by
+// zero, say) might be skipped on rows an earlier conjunct already rejects,
+// so callers must establish infallibility first (qcompile.Program.Bind plus
+// Program.Infallible).
+func (ev *Evaluator) HoistedObjectPredicate(d *Decomposed, objects *ResultSet) func(i int) (bool, error) {
+	return ev.objectPredicate(d, objects, true)
+}
+
+func (ev *Evaluator) objectPredicate(d *Decomposed, objects *ResultSet, hoist bool) func(i int) (bool, error) {
+	sub, ok := d.Predicate.(*sql.SubqueryExpr)
+	hoist = hoist && ok && sub.Exists
 	return func(i int) (bool, error) {
 		sc := NewScope(nil)
 		sc.BindRow(ObjectAlias, objects, i)
+		if hoist {
+			ev.Stats.SubqueryRuns++
+			res, err := ev.run(sub.Query, sc, true)
+			if err != nil {
+				return false, err
+			}
+			return len(res.Rows) > 0, nil
+		}
 		v, err := ev.Eval(d.Predicate, sc)
 		if err != nil {
 			return false, err

@@ -10,6 +10,18 @@ import (
 // Run executes stmt against the evaluator's catalog. outer, which may be
 // nil, supplies bindings for correlated references.
 func (ev *Evaluator) Run(stmt *sql.SelectStmt, outer *Scope) (*ResultSet, error) {
+	return ev.run(stmt, outer, false)
+}
+
+// run is Run with an optional conjunct hoist: when hoist is set, each WHERE
+// conjunct is evaluated at the shallowest FROM depth that binds every alias
+// it references (see whereByDepth) instead of once per complete row. The
+// set of WHERE-passing rows, their order, and everything downstream of
+// WHERE are unchanged provided no conjunct can fail — hoisting reorders
+// conjunct evaluation across depths, so a failing conjunct could be
+// skipped on a row where a shallower one is already false. Callers hoist
+// only under that guarantee.
+func (ev *Evaluator) run(stmt *sql.SelectStmt, outer *Scope, hoist bool) (*ResultSet, error) {
 	// Resolve FROM.
 	sc := NewScope(outer)
 	var cursors []*binding
@@ -56,23 +68,9 @@ func (ev *Evaluator) Run(stmt *sql.SelectStmt, outer *Scope) (*ResultSet, error)
 		distinctSeen = make(map[string]bool)
 	}
 
+	where := whereByDepth(stmt.Where, cursors, hoist)
 	if !grouped {
-		err := ev.enumerate(cursors, 0, func() error {
-			ev.Stats.RowsScanned++
-			if stmt.Where != nil {
-				ev.Stats.PredicateEval++
-				v, err := ev.Eval(stmt.Where, sc)
-				if err != nil {
-					return err
-				}
-				b, err := v.AsBool()
-				if err != nil {
-					return fmt.Errorf("engine: WHERE is not boolean: %w", err)
-				}
-				if !b {
-					return nil
-				}
-			}
+		err := ev.enumerate(cursors, where, sc, 0, func() error {
 			row, err := ev.projectRow(stmt, sc, nil, starExpand, cursors)
 			if err != nil {
 				return err
@@ -97,22 +95,7 @@ func (ev *Evaluator) Run(stmt *sql.SelectStmt, outer *Scope) (*ResultSet, error)
 	groups := make(map[string]*group)
 	var order []string
 
-	err = ev.enumerate(cursors, 0, func() error {
-		ev.Stats.RowsScanned++
-		if stmt.Where != nil {
-			ev.Stats.PredicateEval++
-			v, err := ev.Eval(stmt.Where, sc)
-			if err != nil {
-				return err
-			}
-			b, err := v.AsBool()
-			if err != nil {
-				return fmt.Errorf("engine: WHERE is not boolean: %w", err)
-			}
-			if !b {
-				return nil
-			}
-		}
+	err = ev.enumerate(cursors, where, sc, 0, func() error {
 		keyVals := make([]Value, len(stmt.GroupBy))
 		for i, g := range stmt.GroupBy {
 			v, err := ev.Eval(g, sc)
@@ -256,8 +239,38 @@ func appendMaybeDistinct(res *ResultSet, row []Value, seen map[string]bool) {
 }
 
 // enumerate drives the nested-loop join over all cursors, invoking emit for
-// each complete row combination.
-func (ev *Evaluator) enumerate(cursors []*binding, depth int, emit func() error) error {
+// each complete row combination that passes WHERE. where[d] holds the
+// conjuncts decided once cursors[0..d-1] are bound, evaluated in order
+// with short-circuit before descending; where[len(cursors)] is checked per
+// complete row. No conjunct runs when any relation is empty, exactly as
+// when the whole WHERE sits at the innermost depth.
+func (ev *Evaluator) enumerate(cursors []*binding, where [][]sql.Expr, sc *Scope, depth int, emit func() error) error {
+	if depth == 0 {
+		for _, c := range cursors {
+			if c.rel.NumRows() == 0 {
+				return nil
+			}
+		}
+	}
+	if depth == len(cursors) {
+		ev.Stats.RowsScanned++
+	}
+	if len(where[depth]) > 0 {
+		ev.Stats.PredicateEval++
+		for _, w := range where[depth] {
+			v, err := ev.Eval(w, sc)
+			if err != nil {
+				return err
+			}
+			b, err := v.AsBool()
+			if err != nil {
+				return fmt.Errorf("engine: WHERE is not boolean: %w", err)
+			}
+			if !b {
+				return nil
+			}
+		}
+	}
 	if depth == len(cursors) {
 		return emit()
 	}
@@ -265,11 +278,55 @@ func (ev *Evaluator) enumerate(cursors []*binding, depth int, emit func() error)
 	n := c.rel.NumRows()
 	for i := 0; i < n; i++ {
 		c.row = i
-		if err := ev.enumerate(cursors, depth+1, emit); err != nil {
+		if err := ev.enumerate(cursors, where, sc, depth+1, emit); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// whereByDepth places WHERE for enumerate: without hoisting the whole
+// expression is one conjunct checked per complete row. With hoisting each
+// top-level conjunct moves, in its original order, to the shallowest depth
+// binding every FROM alias it references; a conjunct with an unqualified
+// name or a subquery stays innermost, since either may read any alias.
+// References to aliases outside this FROM (outer scopes, the decomposed
+// object alias) and parameters are bound throughout, so a conjunct reading
+// only those is checked once, before the first cursor moves.
+func whereByDepth(where sql.Expr, cursors []*binding, hoist bool) [][]sql.Expr {
+	out := make([][]sql.Expr, len(cursors)+1)
+	if where == nil {
+		return out
+	}
+	inner := len(cursors)
+	if !hoist {
+		out[inner] = []sql.Expr{where}
+		return out
+	}
+	for _, c := range sql.SplitConjuncts(where) {
+		d := 0
+		sql.WalkExpr(c, func(x sql.Expr) {
+			switch r := x.(type) {
+			case *sql.SubqueryExpr:
+				d = inner
+			case *sql.ColumnRef:
+				if r.Qualifier == "" {
+					d = inner
+					return
+				}
+				// Qualified names resolve to the first binding of that
+				// alias (Scope.resolve), so that cursor decides the depth.
+				for ci, cur := range cursors {
+					if cur.name == r.Qualifier {
+						d = max(d, ci+1)
+						break
+					}
+				}
+			}
+		})
+		out[d] = append(out[d], c)
+	}
+	return out
 }
 
 // outputColumns computes result column names; starExpand lists, for a bare

@@ -100,6 +100,12 @@ func Stratified(strata []StratumSample, alpha float64) (Result, error) {
 			varhat += Wh*Wh*sh2/float64(s.Sampled) - Wh*sh2/float64(N)
 		}
 	}
+	// Σ W_h p̂_h is a floating-point sum of weights that add up to 1 only
+	// in exact arithmetic: with every sampled label positive it can land an
+	// ulp outside [0, 1] (strata {99, 343, 58} give 1+2⁻⁵²). Clamping here,
+	// before the interval is built, keeps Count within [0, N] and
+	// Lo ≤ p̂ ≤ Hi after the interval's own clamps.
+	phat = min(max(phat, 0), 1)
 	if varhat < 0 {
 		varhat = 0
 	}

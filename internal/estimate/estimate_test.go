@@ -118,6 +118,31 @@ func TestStratifiedMatchesFormula(t *testing.T) {
 	}
 }
 
+// TestStratifiedAllPositiveStaysInRange pins the ulp overshoot of
+// p̂ = Σ W_h p̂_h: strata {99, 343, 58} of N = 500 with every sampled label
+// positive sum their weights to 1+2⁻⁵² in floating point; unclamped, that
+// reads Count 500.0000000000001 with a CI whose Lo exceeds Hi.
+func TestStratifiedAllPositiveStaysInRange(t *testing.T) {
+	strata := []StratumSample{
+		{N: 99, Sampled: 9, Positives: 9},
+		{N: 343, Sampled: 31, Positives: 31},
+		{N: 58, Sampled: 5, Positives: 5},
+	}
+	res, err := Stratified(strata, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Proportion != 1 || res.Count != 500 {
+		t.Fatalf("proportion %v, count %v; want exactly 1 and 500", res.Proportion, res.Count)
+	}
+	if !(res.CI.Lo <= res.Count && res.Count <= res.CI.Hi) {
+		t.Fatalf("CI [%v, %v] does not bracket count %v", res.CI.Lo, res.CI.Hi, res.Count)
+	}
+	if res.CI.Lo != 500 || res.CI.Hi != 500 {
+		t.Fatalf("zero-variance CI = [%v, %v], want [500, 500]", res.CI.Lo, res.CI.Hi)
+	}
+}
+
 func TestStratifiedErrors(t *testing.T) {
 	if _, err := Stratified([]StratumSample{{N: 5, Sampled: 6}}, 0.05); err == nil {
 		t.Fatal("oversampling should error")

@@ -280,9 +280,19 @@ type EngineExists struct {
 }
 
 // NewEngineExists builds an engine-backed predicate for the decomposed
-// query over the materialized object set.
-func NewEngineExists(ev *engine.Evaluator, dec *engine.Decomposed, objects *engine.ResultSet) (*EngineExists, error) {
-	p := &EngineExists{eval: ev.ObjectPredicate(dec, objects), objects: objects}
+// query over the materialized object set. With hoist, evaluation hoists
+// Q3's WHERE conjuncts across join depths (engine.Evaluator.
+// HoistedObjectPredicate), so the validation and every later Eval visit
+// one object's rows instead of the whole join; callers may ask for it only
+// when no conjunct can fail (a bound, infallible compiled program). Without
+// hoist the validation walks the full nested loop, so a data-dependent
+// error anywhere in the join surfaces here, at construction.
+func NewEngineExists(ev *engine.Evaluator, dec *engine.Decomposed, objects *engine.ResultSet, hoist bool) (*EngineExists, error) {
+	eval := ev.ObjectPredicate(dec, objects)
+	if hoist {
+		eval = ev.HoistedObjectPredicate(dec, objects)
+	}
+	p := &EngineExists{eval: eval, objects: objects}
 	if objects.NumRows() > 0 {
 		v, err := p.eval(0)
 		if err != nil {
@@ -294,9 +304,8 @@ func NewEngineExists(ev *engine.Evaluator, dec *engine.Decomposed, objects *engi
 }
 
 // First returns the construction-time validation result for object 0, so
-// cross-checks against it need not repeat a full interpreted evaluation
-// (one Q3 interpretation scans the whole join — the very cost compilation
-// exists to avoid).
+// cross-checks against it need not repeat an interpreted evaluation (even
+// hoisted, one interpretation costs far more than a compiled probe).
 func (p *EngineExists) First() (v, ok bool) { return p.first, p.has0 }
 
 // Eval runs the EXISTS subquery for object i.

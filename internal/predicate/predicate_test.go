@@ -170,7 +170,7 @@ func TestEngineExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := NewEngineExists(ev, dec, objects)
+	ep, err := NewEngineExists(ev, dec, objects, false)
 	if err != nil {
 		t.Fatal(err)
 	}

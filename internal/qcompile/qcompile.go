@@ -31,6 +31,15 @@
 // rejected by Compile with an Unsupported error, and callers keep the
 // interpreted engine path, which remains the semantics oracle.
 //
+// The SDK still interprets Q3 once per execution, on the first object, to
+// cross-check the bound program. When Bind succeeds and Program.Infallible
+// holds, that interpretation hoists each WHERE conjunct to the shallowest
+// join depth binding its aliases, so it visits one object's rows (|L|+|R|)
+// rather than the whole L×R join; otherwise — a fallible conjunct, a Bind
+// failure, or compilation disabled — it keeps the full nested loop, which
+// validates every join row and so surfaces any data-dependent error the
+// compiled closures would otherwise panic on later.
+//
 // # Equivalence contract
 //
 // Compiled evaluation is byte-identical to the interpreter on the supported
@@ -135,6 +144,8 @@ type Program struct {
 
 	objCols []string // o.* columns the predicate reads
 
+	infallible bool // no WHERE conjunct divides or takes a SQRT (see Infallible)
+
 	// floatGroupChecks are the float GROUP BY columns whose values Compile
 	// scanned for NaN/-0 (which would break the single-group plan); Extend
 	// re-runs the scan over delta rows only.
@@ -157,6 +168,14 @@ func (p *Program) Indexes() int {
 	}
 	return n
 }
+
+// Infallible reports whether no Q3 WHERE conjunct can fail at evaluation
+// time once a Bind has succeeded: Bind type-checks every conjunct against
+// the bound parameters and object columns, which leaves division by zero
+// and SQRT of a negative as the only data-dependent errors. Under this
+// guarantee the interpreter may hoist conjuncts across join depths
+// (engine.Evaluator.HoistedObjectPredicate) without changing any label.
+func (p *Program) Infallible() bool { return p.infallible }
 
 // Compile analyzes the decomposed predicate against the catalog and builds
 // the join plan and hash indexes. It returns an *Unsupported error for any
@@ -226,7 +245,9 @@ func Compile(dec *engine.Decomposed, cat engine.Catalog) (*Program, error) {
 	// Classify WHERE conjuncts by the deepest alias they reference.
 	conjuncts := sql.SplitConjuncts(q3.Where)
 	depths := make([]int, len(conjuncts))
+	p.infallible = true
 	for ci, c := range conjuncts {
+		p.infallible = p.infallible && panicFree(c)
 		if err := p.validateRowExpr(c); err != nil {
 			return nil, err
 		}

@@ -78,7 +78,7 @@ func BenchmarkPredicateLabeling(b *testing.B) {
 			cfg := q.cfg
 			cfg.noCompile = mode.noCompile
 			cfg.parallelism = mode.workers
-			pred, lab, err := q.buildPredicate(ev, objects, vals, cfg)
+			pred, lab, err := q.buildPredicate(ev, objects, vals, cfg, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

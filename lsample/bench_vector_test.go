@@ -67,7 +67,7 @@ func BenchmarkVectorLabeling(b *testing.B) {
 			cfg := q.cfg
 			cfg.noVector = mode.noVector
 			cfg.parallelism = 1
-			pred, lab, err := q.buildPredicate(ev, objects, vals, cfg)
+			pred, lab, err := q.buildPredicate(ev, objects, vals, cfg, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

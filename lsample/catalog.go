@@ -198,7 +198,7 @@ func (q *PreparedQuery) executeCatalog(ctx context.Context, cfg config,
 	for name, v := range vals {
 		ev.SetParam(name, v)
 	}
-	objects, err := ev.Run(q.dec.Objects, nil)
+	objects, err := q.enumerate(ev, vals)
 	if err != nil {
 		return nil, true, badf("enumerating objects: %v", err)
 	}
@@ -258,7 +258,7 @@ func (q *PreparedQuery) executeCatalog(ctx context.Context, cfg config,
 		keys:     keys,
 		posByKey: posByKey,
 		getPred: func() (predicate.Predicate, error) {
-			p, lab, perr := buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg)
+			p, lab, perr := buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg, nil)
 			if perr != nil {
 				return nil, perr
 			}

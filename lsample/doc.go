@@ -123,7 +123,9 @@
 // prebuilt hash indexes, and EXISTS short-circuits where the query shape
 // allows. Queries outside the compilable subset transparently fall back to
 // the interpreted engine, which remains the semantics oracle; a
-// first-object cross-check guards every compiled execution. The labeling
+// first-object cross-check guards every compiled execution. Its interpreted
+// side scans only the first object's rows when no WHERE conjunct can fail
+// (no division or SQRT), and the whole join otherwise. The labeling
 // path taken (and the fallback reason, if any) is reported in
 // Estimate.Labeling / GroupedEstimate.Labeling. Estimates are
 // byte-identical on either path — compilation (with batched, optionally

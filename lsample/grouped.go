@@ -180,7 +180,7 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 		ev.SetParam(name, v)
 	}
 	_, esp := obs.StartSpan(ctx, "enumerate")
-	objects, err := ev.Run(q.dec.Objects, nil)
+	objects, err := q.enumerate(ev, vals)
 	esp.End()
 	if err != nil {
 		return nil, badf("enumerating objects: %v", err)
@@ -210,7 +210,7 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 	}
 
 	_, psp := obs.StartSpan(ctx, "predicate.build")
-	pred, labeling, err := q.buildPredicate(ev, objects, vals, cfg)
+	pred, labeling, err := q.buildPredicate(ev, objects, vals, cfg, psp)
 	psp.End()
 	if err != nil {
 		return nil, err

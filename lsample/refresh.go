@@ -195,7 +195,8 @@ type refreshState struct {
 
 	// validated reports that the current program already passed the
 	// interpreter cross-check (whose interpreted reference evaluation costs
-	// a full join scan); later refreshes of the same program skip it.
+	// one object's rows when the program is infallible, the full join
+	// otherwise); later refreshes of the same program skip it.
 	validated bool
 }
 
@@ -421,7 +422,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 
 	// 6. Build the expensive predicate for this refresh: compiled when the
 	// maintained program allows, interpreted otherwise. The interpreter
-	// cross-check (one full interpreted join scan) runs once per compiled
+	// cross-check (see buildEnginePredicate) runs once per compiled
 	// program; subsequent refreshes of an already-validated program bind
 	// the compiled path directly.
 	var (
@@ -439,7 +440,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		}
 	}
 	if basePred == nil {
-		basePred, labeling, err = buildEnginePredicate(ev, q.dec, objects, st.prog, st.progErr, vals, cfg)
+		basePred, labeling, err = buildEnginePredicate(ev, q.dec, objects, st.prog, st.progErr, vals, cfg, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -208,6 +208,9 @@ type PreparedQuery struct {
 	featMu sync.Mutex
 	feats  map[string]*featureState // keyed by sorted parameter names
 	builds int                      // feature-state constructions (tests assert == 1)
+
+	objMu   sync.Mutex
+	objects *engine.ResultSet // memoized parameter-free Q2 result, shared read-only
 }
 
 // featureState is the per-query-shape artifact every feature-using Execute
@@ -341,7 +344,7 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 		ev.SetParam(name, v)
 	}
 	_, esp := obs.StartSpan(ctx, "enumerate")
-	objects, err := ev.Run(q.dec.Objects, nil)
+	objects, err := q.enumerate(ev, vals)
 	esp.End()
 	if err != nil {
 		return nil, badf("enumerating objects: %v", err)
@@ -379,7 +382,7 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 	}
 
 	_, psp := obs.StartSpan(ctx, "predicate.build")
-	pred, labeling, err := q.buildPredicate(ev, objects, vals, cfg)
+	pred, labeling, err := q.buildPredicate(ev, objects, vals, cfg, psp)
 	psp.End()
 	if err != nil {
 		return nil, err
@@ -436,34 +439,53 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 // compiled predicate. Any failure along the way — compile-time
 // unsupported shape, bind-time type mismatch, cross-check disagreement —
 // degrades to the interpreted engine with the reason recorded, never to an
-// error the interpreter itself would not produce.
+// error the interpreter itself would not produce. sp, which may be nil,
+// records which interpreter validation ran (see buildEnginePredicate).
 func (q *PreparedQuery) buildPredicate(ev *engine.Evaluator, objects *engine.ResultSet,
-	vals map[string]engine.Value, cfg config) (predicate.Predicate, Labeling, error) {
-	return buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg)
+	vals map[string]engine.Value, cfg config, sp *obs.Span) (predicate.Predicate, Labeling, error) {
+	return buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg, sp)
 }
 
 // buildEnginePredicate is the shared predicate-construction path behind
 // PreparedQuery.Execute and LiveQuery.Refresh (see buildPredicate for the
-// contract).
+// contract). The interpreter's construction-time validation of object 0
+// is hoisted — WHERE conjuncts evaluated at the shallowest join depth that
+// binds them, one object's rows instead of the whole L×R join — only when
+// the program bound and no WHERE conjunct can fail (Program.Infallible);
+// then no row of the join can raise an error, so hoisting changes no
+// label. Otherwise (compilation disabled, no program, a Bind failure, or a
+// conjunct that divides or takes a SQRT) the validation walks the full
+// nested loop, so a data-dependent error anywhere in the join still fails
+// the build before compiled labeling could panic on it. sp, which may be
+// nil, gets interp = "hoisted" or "full" accordingly.
 func buildEnginePredicate(ev *engine.Evaluator, dec *engine.Decomposed, objects *engine.ResultSet,
-	prog *qcompile.Program, progErr string, vals map[string]engine.Value, cfg config) (predicate.Predicate, Labeling, error) {
+	prog *qcompile.Program, progErr string, vals map[string]engine.Value, cfg config,
+	sp *obs.Span) (predicate.Predicate, Labeling, error) {
 
-	ep, err := predicate.NewEngineExists(ev, dec, objects)
+	lab := Labeling{Workers: 1}
+	var bound *qcompile.Bound
+	switch {
+	case cfg.noCompile:
+		lab.Fallback = "compilation disabled"
+	case prog == nil:
+		lab.Fallback = progErr
+	default:
+		var err error
+		if bound, err = prog.Bind(vals, objects); err != nil {
+			lab.Fallback = err.Error()
+		}
+	}
+	hoist := bound != nil && prog.Infallible()
+	if hoist {
+		sp.Set("interp", "hoisted")
+	} else {
+		sp.Set("interp", "full")
+	}
+	ep, err := predicate.NewEngineExists(ev, dec, objects, hoist)
 	if err != nil {
 		return nil, Labeling{}, badf("%v", err)
 	}
-	lab := Labeling{Workers: 1}
-	if cfg.noCompile {
-		lab.Fallback = "compilation disabled"
-		return ep, lab, nil
-	}
-	if prog == nil {
-		lab.Fallback = progErr
-		return ep, lab, nil
-	}
-	bound, err := prog.Bind(vals, objects)
-	if err != nil {
-		lab.Fallback = err.Error()
+	if bound == nil {
 		return ep, lab, nil
 	}
 	if !compiledAgrees(bound.NewEvalFn(), ep, objects.NumRows()) {
@@ -482,8 +504,9 @@ func buildEnginePredicate(ev *engine.Evaluator, dec *engine.Decomposed, objects 
 // compiled first-object evaluation must agree with the interpreter's (and
 // must not panic, e.g. on a data-dependent division the interpreter would
 // have reported as an error). The interpreter's side reuses the
-// construction-time validation result, so the check costs one compiled
-// evaluation, not a second full interpreted join scan.
+// construction-time validation result — a hoisted scan of object 0's rows
+// when the program is infallible, the full join otherwise — so the check
+// costs one compiled evaluation, not a second interpretation.
 func compiledAgrees(fn func(int) bool, ep *predicate.EngineExists, n int) (ok bool) {
 	if n == 0 {
 		return true
@@ -548,6 +571,29 @@ func exactLabels(ctx context.Context, pred predicate.Predicate, n int) ([]bool, 
 		out[i] = pred.Eval(i)
 	}
 	return out, nil
+}
+
+// enumerate runs the object-enumeration query Q2 for one execution. When
+// no bound parameter name is a Q2 identifier the enumeration cannot read
+// them, so its result depends only on the pinned snapshot: it runs once per
+// prepared query and every such execution shares the one object set, which
+// downstream phases only read. Failures are not memoized.
+func (q *PreparedQuery) enumerate(ev *engine.Evaluator, vals map[string]engine.Value) (*engine.ResultSet, error) {
+	for name := range vals {
+		if q.q2IDs[name] {
+			return ev.Run(q.dec.Objects, nil)
+		}
+	}
+	q.objMu.Lock()
+	defer q.objMu.Unlock()
+	if q.objects == nil {
+		objects, err := ev.Run(q.dec.Objects, nil)
+		if err != nil {
+			return nil, err
+		}
+		q.objects = objects
+	}
+	return q.objects, nil
 }
 
 // featureState returns the memoized feature artifacts for the given

@@ -275,7 +275,7 @@ func (q *PreparedQuery) buildShardRun(cfg config, vals map[string]engine.Value,
 	for name, v := range vals {
 		ev.SetParam(name, v)
 	}
-	objects, err := ev.Run(q.dec.Objects, nil)
+	objects, err := q.enumerate(ev, vals)
 	if err != nil {
 		return nil, badf("enumerating objects: %v", err)
 	}
@@ -375,7 +375,7 @@ func (q *PreparedQuery) buildShardRun(cfg config, vals map[string]engine.Value,
 				for name, v := range vals {
 					sev.SetParam(name, v)
 				}
-				return buildEnginePredicate(sev, q.dec, objects, q.prog, q.progErr, vals, cfg)
+				return buildEnginePredicate(sev, q.dec, objects, q.prog, q.progErr, vals, cfg, nil)
 			},
 		}
 		var entry *catalog.Entry
